@@ -8,11 +8,13 @@
 // the dual vector is maintained incrementally across pivots, and pricing is
 // Devex (reference-framework weights, updated sparsely through the pivot
 // row) over a rotating candidate list — classic rotating partial pricing
-// stays available behind SimplexOptions::pricing for A/B comparison. After
-// feasibility is reached, an optional canonicalization phase drives the
-// point to the unique minimizer of a fixed pseudo-random objective so the
-// reported solution does not depend on the pricing rule, warm start, or any
-// other search-path detail. See docs/solver.md. The LPs have few
+// stays available behind SimplexOptions::pricing for A/B comparison. The
+// pricing scan runs on the calling thread: striping it over a pool measured
+// slower at 2 and 4 threads than the sequential scan. After feasibility is
+// reached, an optional canonicalization phase drives the point to the
+// unique minimizer of a fixed pseudo-random objective so the reported
+// solution does not depend on the pricing rule, warm start, or any other
+// search-path detail. See docs/solver.md. The LPs have few
 // constraints — tens to a few thousand — while the variable count ranges
 // from a handful for Hydra's region partitioning to millions for DataSynth's
 // grid partitioning, which the pricing candidate lists absorb gracefully.
@@ -67,14 +69,6 @@ struct SimplexOptions {
   int refactor_interval = 0;
   // Entering-variable rule; kPartial is kept for the ablation bench.
   SimplexPricing pricing = SimplexPricing::kDevex;
-  // Worker threads for the fresh-block pricing scan (the candidate-list
-  // refill over rotating column blocks — the solver's widest loop on
-  // DataSynth-scale variable counts). 1 = sequential. The parallel scan
-  // stripes each block over a private pool and merges stripes in column
-  // order, so the candidate list, every tie-break, and therefore the entire
-  // pivot path are bit-identical at any thread count. Blocks too short to
-  // amortize the fork run sequentially regardless.
-  int pricing_threads = 1;
   // After phase I, polish the feasible point to the unique minimizer of a
   // fixed pseudo-random positive objective. This makes the reported
   // solution a function of the problem alone — identical across pricing
